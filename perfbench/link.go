@@ -2,6 +2,7 @@ package main
 
 import (
 	"hash/fnv"
+	"sort"
 	"sync"
 	"time"
 
@@ -209,6 +210,12 @@ func (b *linkBench) checkRound(s *linkSession) {
 func (b *linkBench) tally() *tally { return b.t }
 
 func (b *linkBench) summarize() {
+	lat := append([]float64(nil), b.t.lat...)
+	sort.Float64s(lat)
+	b.t.report = []metric{
+		{"batch_ms_p50", quantile(lat, 0.50) * 1e3, "ms"},
+		{"batch_ms_p99", quantile(lat, 0.99) * 1e3, "ms"},
+	}
 	if b.tr != nil {
 		b.t.layers, b.t.detail = b.layers.metrics(b.tr, !b.dense)
 	}

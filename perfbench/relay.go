@@ -295,7 +295,6 @@ func (b *relayBench) summarize() {
 		{"qnet.run_us", us(spQNetRun), "us"},
 		{"qnet.finish_us", us(spQNetFinish), "us"},
 	}
-
 }
 
 func (b *relayBench) close() {

@@ -189,8 +189,8 @@ func (tr *tracer) layerTotals(label string) (self [numSpanNames]time.Duration, c
 }
 
 // layerMetrics reports every span name's self time as a share of the
-// traced run's wall time. Engines run concurrently, so shares of
-// different goroutines may sum past 1.
+// traced run's wall time. A goroutine blocked in channel.wait overlaps
+// the others' work, so the shares may sum past 1.
 func (tr *tracer) layerMetrics(wall time.Duration) []metric {
 	self, _ := tr.layerTotals("")
 	out := make([]metric, 0, numSpanNames)

@@ -326,7 +326,6 @@ func (b *vpnBench) summarize() {
 		ing += d.Seconds()
 	}
 	t.detail = append(t.detail, metric{"kms.ingest_us", ratio(ing*1e6, float64(len(b.ingest))), "us"})
-
 }
 
 func (b *vpnBench) close() { b.n.Close() }
