@@ -334,11 +334,7 @@ func run(o options, stdout io.Writer) (*result, error) {
 	for _, mt := range e2e {
 		printMetric(stdout, "metric", mt)
 	}
-	ratio := 0.0
-	if t.attempted > 0 {
-		ratio = float64(t.failed) / float64(t.attempted)
-	}
-	printMetric(stdout, "metric", metric{"fail_ratio", ratio, "ratio"})
+	printMetric(stdout, "metric", metric{"fail_ratio", ratio(float64(t.failed), float64(t.attempted)), "ratio"})
 	printMetric(stdout, "metric", metric{"peak_rss_mb", peakRSSMB(), "MB"})
 	// The throughput under the name the workload's users know it by.
 	switch o.workload {
@@ -397,10 +393,12 @@ func run(o options, stdout io.Writer) (*result, error) {
 		for _, mt := range tr.layerMetrics(tm.wall) {
 			got[mt.name] = mt
 		}
+		// The runtime's counts come from the untraced half, which does not
+		// pay for the spans.
 		for _, mt := range []metric{
 			{"trace.wall_overhead", tm.wall.Seconds()/m.wall.Seconds() - 1, "ratio"},
-			{"runtime.allocs_per_op", float64(tm.mallocs) / float64(max(len(tm.t.lat), 1)), "count"},
-			{"runtime.gc_pause_ms", float64(tm.gcPauseNs) / 1e6, "ms"},
+			{"runtime.allocs_per_op", ratio(float64(m.mallocs), float64(len(t.lat))), "count"},
+			{"runtime.gc_pause_ms", float64(m.gcPauseNs) / 1e6, "ms"},
 		} {
 			got[mt.name] = mt
 		}
