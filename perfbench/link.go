@@ -12,6 +12,7 @@ import (
 	"qkd/internal/kms"
 	"qkd/internal/photonics"
 	"qkd/internal/rng"
+	"qkd/internal/workload"
 )
 
 // Link workloads. A round is one fresh link session (seeded by the run
@@ -213,8 +214,8 @@ func (b *linkBench) summarize() {
 	lat := append([]float64(nil), b.t.lat...)
 	sort.Float64s(lat)
 	b.t.report = []metric{
-		{"batch_ms_p50", quantile(lat, 0.50) * 1e3, "ms"},
-		{"batch_ms_p99", quantile(lat, 0.99) * 1e3, "ms"},
+		{"batch_ms_p50", workload.Quantile(lat, 0.50) * 1e3, "ms"},
+		{"batch_ms_p99", workload.Quantile(lat, 0.99) * 1e3, "ms"},
 	}
 	if b.tr != nil {
 		b.t.layers, b.t.detail = b.layers.metrics(b.tr, !b.dense)

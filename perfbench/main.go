@@ -30,6 +30,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"qkd/internal/workload"
 )
 
 // options are the command-line inputs of one run.
@@ -248,7 +250,7 @@ func measure(w runner, o options, maxRounds int, tr *tracer) (measured, error) {
 	w.summarize()
 	sort.Float64s(heapLive)
 	return measured{
-		t: w.tally(), rounds: r, wall: wall, heapLive: quantile(heapLive, 0.5),
+		t: w.tally(), rounds: r, wall: wall, heapLive: workload.Quantile(heapLive, 0.5),
 		mallocs: m1.Mallocs - m0.Mallocs, gcPauseNs: m1.PauseTotalNs - m0.PauseTotalNs,
 	}, nil
 }
@@ -269,7 +271,7 @@ func endToEnd(m measured) (throughput, mean, p90 float64) {
 	for _, x := range lat {
 		sum += x
 	}
-	return throughput, ratio(sum, float64(len(lat))) * 1000, quantile(lat, 0.90) * 1000
+	return throughput, ratio(sum, float64(len(lat))) * 1000, workload.Quantile(lat, 0.90) * 1000
 }
 
 // setupBudget bounds the time spent building a workload for setup_s.
@@ -472,14 +474,6 @@ func setupTime(setups []float64) float64 {
 		sum += s
 	}
 	return sum / float64(len(setups))
-}
-
-// quantile returns the q-quantile of sorted xs, 0 if empty.
-func quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return xs[int(q*float64(len(xs)-1))]
 }
 
 // perLayerMetrics lists the per-layer metrics of a traced run, in the

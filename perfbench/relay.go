@@ -10,6 +10,7 @@ import (
 	"qkd/internal/qnet"
 	"qkd/internal/relay"
 	"qkd/internal/rng"
+	"qkd/internal/workload"
 )
 
 // relay-mesh: k=2 striped key transport from gwA to gwB over a
@@ -267,8 +268,8 @@ func (b *relayBench) summarize() {
 	lat := append([]float64(nil), t.lat...)
 	sort.Float64s(lat)
 	t.report = []metric{
-		{"xfer_ms_p50", quantile(lat, 0.50) * 1e3, "ms"},
-		{"xfer_ms_p99", quantile(lat, 0.99) * 1e3, "ms"},
+		{"xfer_ms_p50", workload.Quantile(lat, 0.50) * 1e3, "ms"},
+		{"xfer_ms_p99", workload.Quantile(lat, 0.99) * 1e3, "ms"},
 		{"relay.ticks", float64(b.ticks), "count"},
 	}
 	if b.tr == nil {

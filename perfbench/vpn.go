@@ -269,8 +269,8 @@ func (b *vpnBench) summarize() {
 	lat := append([]float64(nil), t.lat...)
 	sort.Float64s(lat)
 	t.report = []metric{
-		{"pkt_us_p50", quantile(lat, 0.50) * 1e6, "us"},
-		{"pkt_us_p99", quantile(lat, 0.99) * 1e6, "us"},
+		{"pkt_us_p50", workload.Quantile(lat, 0.50) * 1e6, "us"},
+		{"pkt_us_p99", workload.Quantile(lat, 0.99) * 1e6, "us"},
 		{"vpn.rollover_stalls", float64(b.stalls), "count"},
 		{"vpn.establish_ms", b.establish.Seconds() * 1e3, "ms"},
 	}
@@ -317,8 +317,8 @@ func (b *vpnBench) summarize() {
 		}{{"seal", b.seal[s]}, {"open", b.open[s]}} {
 			sort.Float64s(d.xs)
 			t.detail = append(t.detail,
-				metric{fmt.Sprintf("ipsec.%s_us.%s.p50", d.name, s), quantile(d.xs, 0.5), "us"},
-				metric{fmt.Sprintf("ipsec.%s_us.%s.p99", d.name, s), quantile(d.xs, 0.99), "us"})
+				metric{fmt.Sprintf("ipsec.%s_us.%s.p50", d.name, s), workload.Quantile(d.xs, 0.5), "us"},
+				metric{fmt.Sprintf("ipsec.%s_us.%s.p99", d.name, s), workload.Quantile(d.xs, 0.99), "us"})
 		}
 	}
 	var ing float64
