@@ -204,7 +204,9 @@ func (b *linkBench) checkRound(s *linkSession) {
 	}
 	t.lat = append(t.lat, s.landed.intervals()...)
 	if s.traced != nil {
+		t0 := time.Now()
 		b.layers.add(s, am)
+		b.tr.analysis += time.Since(t0)
 	}
 }
 

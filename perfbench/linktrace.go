@@ -329,7 +329,7 @@ func derivePhases(e *engineTrace) {
 // linkLayers accumulates the traced link's per-layer counts.
 type linkLayers struct {
 	frames, clicks, sifted, batches, aborted uint64
-	disclosed, paOut                         uint64
+	disclosed, distilled, replenished        uint64
 	msgs, ecMsgs                             int64
 }
 
@@ -348,7 +348,8 @@ func (l *linkLayers) add(s *linkSession, am core.Metrics) {
 	l.batches += am.BatchesDistilled
 	l.aborted += am.BatchesAborted
 	l.disclosed += am.ParityDisclosed
-	l.paOut += am.DistilledBits + am.AuthReplenished
+	l.distilled += am.DistilledBits
+	l.replenished += am.AuthReplenished
 }
 
 // metrics returns the link's per-layer counts and ratios (layers) and
@@ -371,7 +372,7 @@ func (l *linkLayers) metrics(tr *tracer, authenticated bool) (layers, detail []m
 		{"sifting.bits_per_click", per(float64(l.sifted), l.clicks), "ratio"},
 		{"cascade.msgs_per_batch", per(float64(ecMsgs), attempted), "count"},
 		{"cascade.disclosed_per_bit", per(float64(l.disclosed), attempted*batchBits), "ratio"},
-		{"privacy.secret_per_sifted", per(float64(l.paOut), l.sifted), "ratio"},
+		{"privacy.secret_per_sifted", per(float64(l.distilled+l.replenished), l.sifted), "ratio"},
 		{"core.aborted_per_batch", per(float64(l.aborted), attempted), "ratio"},
 		{"auth.pad_bits_per_batch", padBits, "count"},
 	}
@@ -389,6 +390,10 @@ func (l *linkLayers) metrics(tr *tracer, authenticated bool) (layers, detail []m
 		{"channel.wait_us_per_batch", us(self[spChannelWait], attempted), "us"},
 		{"kms.ingest_us", us(self[spKMSIngest], uint64(calls[spKMSIngest])), "us"},
 		{"keypool.deposit_us", us(self[spKeypoolDeposit], uint64(calls[spKeypoolDeposit])), "us"},
+		// The key a batch leaves after repaying the pad its
+		// authentication spent beyond what it replenished; negative
+		// when authentication uses up the prepositioned pads.
+		{"auth.net_key_bits_per_batch", per(float64(l.distilled+l.replenished), attempted) - padBits, "count"},
 	}
 	return layers, detail
 }

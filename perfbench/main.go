@@ -13,7 +13,7 @@
 // Usage (from the repository root, see run.sh):
 //
 //	bash perfbench/run.sh --workload link-paper --seed 1 --seconds 25 --trace 0
-//	bash perfbench/run.sh --workload link-paper --seed 1 --rounds 2 --trace 1
+//	bash perfbench/run.sh --workload link-paper --seed 1 --seconds 25 --trace 1
 //
 // The workloads, the reasons they were chosen and the per-layer shares
 // measured on them are described in WORKLOADS.md.
@@ -43,9 +43,6 @@ type options struct {
 	// rounds, when positive, runs exactly this many rounds instead of
 	// measuring for seconds: the workload size of the tests.
 	rounds int
-	// setups is the most times the workload is built to measure
-	// setup_s; the last build is the one that runs.
-	setups int
 	// spanDir receives the traced run's spans; empty skips writing.
 	spanDir string
 	// corrupt flips one bit or byte of the first output before it is
@@ -163,8 +160,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs.Uint64Var(&o.seed, "seed", 1, "input seed")
 	fs.Float64Var(&o.seconds, "seconds", 10, "measurement time per run")
 	fs.IntVar(&trace, "trace", 0, "1 records spans and reports per-layer metrics")
-	fs.IntVar(&o.rounds, "rounds", 0, "run exactly this many rounds (overrides -seconds)")
-	o.setups, o.spanDir = 51, ".bench_build/spans"
+	o.spanDir = ".bench_build/spans"
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -174,7 +170,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	if trace != 0 && trace != 1 {
 		return o, fmt.Errorf("-trace must be 0 or 1")
 	}
-	if o.seconds <= 0 && o.rounds <= 0 {
+	if o.seconds <= 0 {
 		return o, fmt.Errorf("-seconds must be positive")
 	}
 	o.trace = trace == 1
@@ -216,23 +212,40 @@ type measured struct {
 	// mallocs and gcPauseNs are the pass's heap allocations and GC
 	// stop-the-world time.
 	mallocs, gcPauseNs uint64
+	// setups are the set-up times sampled during the pass, in seconds.
+	setups []float64
 }
 
-// measure runs rounds until the time (or round count) is used up. A
-// traced pass folds its spans at every round boundary.
-func measure(w runner, o options, maxRounds int, tr *tracer) (measured, error) {
+// setupEvery is how much measured time passes between the builds a
+// timed pass makes to sample setup_s.
+const setupEvery = time.Second
+
+// measure runs rounds until the time (or round count) is used up. When
+// setup is not nil, it is called every setupEvery between rounds to time
+// one more build of the workload. A traced pass folds its spans at every
+// round boundary. The wall time leaves out the set-up samples and the
+// span analysis.
+func measure(w runner, o options, maxRounds int, tr *tracer, setup func() (time.Duration, error)) (measured, error) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	deadline := time.Duration(o.seconds * float64(time.Second))
 	start := time.Now()
 	r := 0
-	var heapLive []float64
+	var heapLive, setups []float64
+	var excluded time.Duration
+	elapsed := func() time.Duration {
+		d := time.Since(start) - excluded
+		if tr != nil {
+			d -= tr.analysis
+		}
+		return d
+	}
 	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 	for {
 		if maxRounds > 0 && r >= maxRounds {
 			break
 		}
-		if maxRounds <= 0 && r > 0 && time.Since(start) >= deadline {
+		if maxRounds <= 0 && r > 0 && elapsed() >= deadline {
 			break
 		}
 		if err := w.round(); err != nil {
@@ -244,25 +257,35 @@ func measure(w runner, o options, maxRounds int, tr *tracer) (measured, error) {
 		metrics.Read(live)
 		heapLive = append(heapLive, float64(live[0].Value.Uint64()))
 		r++
+		if setup != nil && elapsed() >= time.Duration(len(setups)+1)*setupEvery {
+			t0 := time.Now()
+			d, err := setup()
+			if err != nil {
+				return measured{}, err
+			}
+			setups = append(setups, d.Seconds())
+			excluded += time.Since(t0)
+		}
 	}
-	wall := time.Since(start)
+	wall := elapsed()
 	runtime.ReadMemStats(&m1)
 	w.summarize()
 	sort.Float64s(heapLive)
 	return measured{
 		t: w.tally(), rounds: r, wall: wall, heapLive: workload.Quantile(heapLive, 0.5),
 		mallocs: m1.Mallocs - m0.Mallocs, gcPauseNs: m1.PauseTotalNs - m0.PauseTotalNs,
+		setups: setups,
 	}, nil
 }
 
 // endToEnd derives the end-to-end metrics of a measured pass: the
 // product delivered per wall second, and the mean and p90 operation
-// latency. This VM's speed switches between two levels about 1.45x apart
-// every tenth of a second or so, with rarer slower spells; a median lands
-// on one level or the other depending on the mix a run happens to get,
-// while the mean moves in proportion to it, and link-paper's p99, 15 of
-// its ~1500 batch intervals, is set by whether a spell fell in the run.
-// The medians and p99s are printed beside them.
+// latency. A shared VM's speed switches between two levels about 1.5x
+// apart for spells of a tenth of a second to minutes, with rarer slower
+// spells. A median lands on one level or the other depending on the mix a
+// run happens to get, while the mean moves in proportion to it; a p99, or
+// a mean of the slowest tenth, is set by whether a slow spell fell in the
+// run. The medians and p99s are printed beside them.
 func endToEnd(m measured) (throughput, mean, p90 float64) {
 	throughput = float64(m.t.bits) / 1000 / m.wall.Seconds()
 	lat := append([]float64(nil), m.t.lat...)
@@ -274,48 +297,52 @@ func endToEnd(m measured) (throughput, mean, p90 float64) {
 	return throughput, ratio(sum, float64(len(lat))) * 1000, workload.Quantile(lat, 0.90) * 1000
 }
 
-// setupBudget bounds the time spent building a workload for setup_s.
-const setupBudget = 500 * time.Millisecond
-
 func run(o options, stdout io.Writer) (*result, error) {
 	build := workloads[o.workload].build
-	fmt.Fprintf(stdout, "# perfbench workload=%s seed=%d seconds=%g rounds=%d trace=%v\n# why: %s\n",
-		o.workload, o.seed, o.seconds, o.rounds, o.trace, workloads[o.workload].why)
+	fmt.Fprintf(stdout, "# perfbench workload=%s seed=%d seconds=%g trace=%v\n# why: %s\n",
+		o.workload, o.seed, o.seconds, o.trace, workloads[o.workload].why)
 	fmt.Fprintf(stdout, "# env go=%s GOMAXPROCS=%d nproc=%d\n",
 		runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU())
 
-	// setup_s: build the workload repeatedly, up to o.setups times while
-	// less than setupBudget has gone into it, and keep the last build.
-	var w runner
-	var setups []float64
-	var spent time.Duration
-	for i := 0; i < 1 || (i < o.setups && spent < setupBudget); i++ {
-		if w != nil {
-			w.close()
-		}
-		t0 := time.Now()
-		var err error
-		w, err = build(o, nil)
-		if err != nil {
-			return nil, fmt.Errorf("building %s: %w", o.workload, err)
-		}
-		d := time.Since(t0)
-		spent += d
-		setups = append(setups, d.Seconds())
+	t0 := time.Now()
+	w, err := build(o, nil)
+	if err != nil {
+		return nil, fmt.Errorf("building %s: %w", o.workload, err)
 	}
-	setup := setupTime(setups)
+	first := time.Since(t0)
 
+	// setup_s is sampled by building the workload again once a second
+	// through the measured run, each time from a collected heap, so the
+	// builds see the same spells of a shared machine's speed as the rounds
+	// do rather than the one second before them. On a shared 2-core VM
+	// whose speed switches between two levels ~1.5x apart for seconds at
+	// a time, the median of 20 builds made in the second before the run
+	// spread 0.28-0.34 (quartile distance over median, ten seeds) on
+	// three of the four workloads.
+	sample := func() (time.Duration, error) {
+		runtime.GC()
+		t0 := time.Now()
+		sw, err := build(o, nil)
+		d := time.Since(t0)
+		if err != nil {
+			return 0, fmt.Errorf("building %s: %w", o.workload, err)
+		}
+		sw.close()
+		runtime.GC()
+		return d, nil
+	}
 	maxRounds := o.rounds
 	if o.trace {
 		// The untraced half of a traced run measures for half the time;
 		// the traced half then runs the same rounds.
 		o.seconds /= 2
 	}
-	m, err := measure(w, o, maxRounds, nil)
+	m, err := measure(w, o, maxRounds, nil, sample)
 	w.close()
 	if err != nil {
 		return nil, err
 	}
+	setup := setupTime(first, m.setups)
 	res := &result{Correct: true, Metrics: map[string]jsonMetric{}}
 	t := m.t
 	tput, mean, p90 := endToEnd(m)
@@ -332,7 +359,7 @@ func run(o options, stdout io.Writer) (*result, error) {
 		{"op_ms_p90", p90, "ms"},
 		{"heap_live_mb", m.heapLive / (1 << 20), "MB"},
 	}
-	fmt.Fprintf(stdout, "# size rounds=%d ops=%d wall_s=%.3f setups=%d\n", m.rounds, len(t.lat), m.wall.Seconds(), len(setups))
+	fmt.Fprintf(stdout, "# size rounds=%d ops=%d wall_s=%.3f setups=%d\n", m.rounds, len(t.lat), m.wall.Seconds(), len(m.setups))
 	for _, mt := range e2e {
 		printMetric(stdout, "metric", mt)
 	}
@@ -362,7 +389,7 @@ func run(o options, stdout io.Writer) (*result, error) {
 			return nil, fmt.Errorf("building traced %s: %w", o.workload, err)
 		}
 		tr.start()
-		tm, err := measure(tw, o, m.rounds, tr)
+		tm, err := measure(tw, o, m.rounds, tr, nil)
 		tw.close()
 		if err != nil {
 			return nil, fmt.Errorf("traced: %w", err)
@@ -463,17 +490,16 @@ func printMetric(w io.Writer, kind string, m metric) {
 	fmt.Fprintf(w, "%s %s %.6g %s\n", kind, m.name, m.value, m.unit)
 }
 
-// setupTime is the mean set-up time over the builds after the first,
-// which also pays for process-wide first use.
-func setupTime(setups []float64) float64 {
-	if len(setups) > 1 {
-		setups = setups[1:]
+// setupTime is the median of the set-up times sampled during the run.
+// The first build also pays for process-wide first use, so it counts
+// only when the run was too short to sample any other.
+func setupTime(first time.Duration, samples []float64) float64 {
+	if len(samples) == 0 {
+		return first.Seconds()
 	}
-	var sum float64
-	for _, s := range setups {
-		sum += s
-	}
-	return sum / float64(len(setups))
+	s := append([]float64(nil), samples...)
+	sort.Float64s(s)
+	return workload.Quantile(s, 0.5)
 }
 
 // perLayerMetrics lists the per-layer metrics of a traced run, in the

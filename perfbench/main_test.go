@@ -31,7 +31,7 @@ func loadSpec(t *testing.T) spec {
 // tiny runs one round of a workload.
 func tiny(t *testing.T, name string, seed uint64, trace, corrupt bool) *result {
 	t.Helper()
-	res, err := run(options{workload: name, seed: seed, rounds: 1, setups: 1, trace: trace, corrupt: corrupt}, io.Discard)
+	res, err := run(options{workload: name, seed: seed, rounds: 1, trace: trace, corrupt: corrupt}, io.Discard)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

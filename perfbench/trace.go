@@ -88,6 +88,9 @@ type tracer struct {
 	kept    []*spanBuf
 	keptN   int
 	dropped int
+	// analysis is the time spent deriving and folding spans between
+	// rounds, which the traced wall time leaves out.
+	analysis time.Duration
 }
 
 func newTracer() *tracer {
@@ -140,6 +143,8 @@ func (b *spanBuf) add(name int, parent int32, start, end int64) int32 {
 // count. It then empties the buffers. Call it only while no span is
 // open and no goroutine is recording.
 func (tr *tracer) flush() {
+	t0 := time.Now()
+	defer func() { tr.analysis += time.Since(t0) }()
 	for _, b := range tr.bufs {
 		if len(b.spans) == 0 {
 			continue
